@@ -526,13 +526,21 @@ let store_inspect_cmd =
         List.iter
           (fun (s : Store.stream_info) ->
             Printf.printf
-              "stream %-8s: base %s asof %d (%s)%s first-seg %d segments %d\n"
-              s.Store.str_name s.Store.str_base_file s.Store.str_base_asof
+              "stream %-8s: base asof %d (%s)%s first-seg %d segments %d\n"
+              s.Store.str_name s.Store.str_base_asof
               (if s.Store.str_base_ok then "ok" else "BAD")
               (if s.Store.str_compacted then " compacted" else "")
               s.Store.str_first_seg
               (List.length s.Store.str_segments);
             if not s.Store.str_base_ok then incr bad;
+            List.iter
+              (fun (c : Store.chain_file) ->
+                Printf.printf "  %-5s %s: %s\n"
+                  (if c.Store.cf_delta then "delta" else "full")
+                  c.Store.cf_file
+                  (if c.Store.cf_bytes < 0 then "MISSING"
+                   else Printf.sprintf "%d bytes" c.Store.cf_bytes))
+              s.Store.str_chain;
             List.iter
               (fun (g : Store.segment_info) ->
                 Printf.printf
@@ -565,9 +573,10 @@ let store_inspect_cmd =
   in
   let doc =
     "Inspect a durable store directory without touching it: manifest, \
-     generation, per-stream base snapshots and WAL segments (record counts, \
-     LSN ranges, checksum status), orphaned crash leftovers. Exits 3 when \
-     any sealed segment or base snapshot is damaged."
+     generation, per-stream base snapshot chains (the full snapshot and its \
+     deltas, with their sizes) and WAL segments (record counts, LSN ranges, \
+     checksum status), orphaned crash leftovers. Exits 3 when any sealed \
+     segment is damaged or any base chain fails to rebuild and verify."
   in
   Cmd.v (Cmd.info "store-inspect" ~doc) Term.(const run $ dir_arg)
 

@@ -1,6 +1,6 @@
 (* SHA-256 per FIPS 180-4. 32-bit words are held in native ints (OCaml
-   ints are 63-bit here) and masked after every arithmetic operation;
-   this avoids Int32 boxing in the compression loop. *)
+   ints are 63-bit here), which avoids Int32 boxing in the compression
+   loop; see [compress] for where they are masked. *)
 
 let digest_size = 32
 let mask = 0xffffffff
@@ -44,88 +44,78 @@ let init () =
     w = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* The 64 rounds over the eight working variables, then the fold into
+   the chaining state. *)
+let rec rounds ctx t a b c d e f g hh =
+  if t = 64 then begin
+    let h = ctx.h in
+    h.(0) <- (h.(0) + a) land mask;
+    h.(1) <- (h.(1) + b) land mask;
+    h.(2) <- (h.(2) + c) land mask;
+    h.(3) <- (h.(3) + d) land mask;
+    h.(4) <- (h.(4) + e) land mask;
+    h.(5) <- (h.(5) + f) land mask;
+    h.(6) <- (h.(6) + g) land mask;
+    h.(7) <- (h.(7) + hh) land mask
+  end
+  else
+    let s1 = ((e lsr 6) lor (e lsl 26)) lxor ((e lsr 11) lor (e lsl 21)) lxor ((e lsr 25) lor (e lsl 7)) in
+    let ch = (e land f) lxor (lnot e land g) in
+    let t1 = hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get ctx.w t in
+    let s0 = ((a lsr 2) lor (a lsl 30)) lxor ((a lsr 13) lor (a lsl 19)) lxor ((a lsr 22) lor (a lsl 10)) in
+    let maj = (a land b) lxor (a land c) lxor (b land c) in
+    rounds ctx (t + 1) ((t1 + s0 + maj) land mask) a b c ((d + t1) land mask) e f g
 
-(* Compress one 64-byte block starting at [off] in [src]. *)
+(* Compress one 64-byte block starting at [off] in [src].
+
+   Words are native ints holding 32-bit values. Addition wraps modulo
+   2^63, which keeps the low 32 bits exact, and the left halves of the
+   rotations only push bits above bit 31; so garbage may pile up in the
+   high bits until a value is shifted right. Only the words that feed a
+   right shift are masked: each schedule word, and the new [a] and [e]
+   of every round. *)
 let compress ctx src off =
   let w = ctx.w in
   for t = 0 to 15 do
-    let i = off + (4 * t) in
-    w.(t) <-
-      (Char.code (Bytes.unsafe_get src i) lsl 24)
-      lor (Char.code (Bytes.unsafe_get src (i + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get src (i + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get src (i + 3))
+    Array.unsafe_set w t (Int32.to_int (Bytes.get_int32_be src (off + (4 * t))) land mask)
   done;
   for t = 16 to 63 do
-    let s0 =
-      rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3)
-    in
-    let s1 =
-      rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10)
-    in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let s0 = ((x lsr 7) lor (x lsl 25)) lxor ((x lsr 18) lor (x lsl 14)) lxor (x lsr 3) in
+    let s1 = ((y lsr 17) lor (y lsl 15)) lxor ((y lsr 19) lor (y lsl 13)) lxor (y lsr 10) in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land mask)
   done;
   let h = ctx.h in
-  let a = ref h.(0)
-  and b = ref h.(1)
-  and c = ref h.(2)
-  and d = ref h.(3)
-  and e = ref h.(4)
-  and f = ref h.(5)
-  and g = ref h.(6)
-  and hh = ref h.(7) in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask
-  done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  rounds ctx 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
+
+(* Whole blocks straight from [src]; a tail shorter than a block waits
+   in the context's buffer. *)
+let rec absorb ctx src pos remaining =
+  if remaining >= 64 then begin
+    compress ctx src pos;
+    absorb ctx src (pos + 64) (remaining - 64)
+  end
+  else if remaining > 0 then begin
+    Bytes.blit src pos ctx.buf 0 remaining;
+    ctx.buf_len <- remaining
+  end
 
 let feed_bytes ctx src ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length src then
     invalid_arg "Sha256.feed_bytes";
   ctx.total <- ctx.total + len;
-  let pos = ref off and remaining = ref len in
-  (* Top up a partially filled block buffer first. *)
-  if ctx.buf_len > 0 then begin
-    let need = 64 - ctx.buf_len in
-    let take = min need !remaining in
-    Bytes.blit src !pos ctx.buf ctx.buf_len take;
+  if ctx.buf_len = 0 then absorb ctx src off len
+  else begin
+    (* Top up the partially filled block buffer first. *)
+    let take = min (64 - ctx.buf_len) len in
+    Bytes.blit src off ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
-    pos := !pos + take;
-    remaining := !remaining - take;
     if ctx.buf_len = 64 then begin
       compress ctx ctx.buf 0;
-      ctx.buf_len <- 0
+      ctx.buf_len <- 0;
+      absorb ctx src (off + take) (len - take)
     end
-  end;
-  while !remaining >= 64 do
-    compress ctx src !pos;
-    pos := !pos + 64;
-    remaining := !remaining - 64
-  done;
-  if !remaining > 0 then begin
-    Bytes.blit src !pos ctx.buf 0 !remaining;
-    ctx.buf_len <- !remaining
   end
 
 let feed ctx s =

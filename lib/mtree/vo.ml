@@ -129,10 +129,23 @@ let prune_for_op root (op : op) =
   | Remove key -> prune_path ~with_siblings:true root key
   | Range (lo, hi) -> prune_range root ~lo ~hi
 
+(* Nodes the proof materialises on its deepest root-to-leaf path —
+   the op's access path, since every off-path subtree is a stub (or,
+   for a delete, a one-level sibling) and leaves sit at one depth. *)
+let rec proof_depth (n : Node.t) =
+  match n with
+  | Node.Stub _ -> 0
+  | Node.Leaf _ -> 1
+  | Node.Node { children; _ } -> 1 + deepest_child children 0 0
+
+and deepest_child children i acc =
+  if i = Array.length children then acc
+  else deepest_child children (i + 1) (max acc (proof_depth children.(i)))
+
 let record_generated vo =
   Obs.incr c_vo_generated;
   Obs.observe h_vo_bytes (size_bytes vo);
-  Obs.observe h_proof_depth (Node.depth (root_node vo))
+  Obs.observe h_proof_depth (proof_depth (root_node vo))
 
 let generate tree op =
   let proof = prune_for_op (Merkle_btree.root tree) op in

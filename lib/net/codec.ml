@@ -624,16 +624,29 @@ let pp_frame fmt (f : frame) =
 
 let checksum body = String.sub (Crypto.Sha256.digest body) 0 4
 
-let encode_frame f =
-  let w = W.create () in
-  write_frame w f;
-  let body = W.contents w in
+let frame_of_body body =
   let out = W.create () in
   W.raw out magic;
   W.u32 out (String.length body);
   W.raw out (checksum body);
   W.raw out body;
   W.contents out
+
+let encode_frame f =
+  let w = W.create () in
+  write_frame w f;
+  frame_of_body (W.contents w)
+
+(* The [Reply] arm of [write_frame], with the message already encoded:
+   a server that keeps the encoded reply for its reply cache frames
+   those same bytes instead of encoding the message a second time. *)
+let encode_reply ~seq ~ctx ~payload =
+  let w = W.create () in
+  W.u8 w 5;
+  W.u32 w seq;
+  write_ctx w ctx;
+  W.raw w payload;
+  frame_of_body (W.contents w)
 
 let decode_header ?(max_frame = default_max_frame) hdr =
   if String.length hdr <> header_len then Error (Malformed "header")

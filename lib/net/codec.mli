@@ -131,6 +131,11 @@ val default_max_frame : int
 val encode_frame : frame -> string
 (** Header + body, ready to write. *)
 
+val encode_reply : seq:int -> ctx:ctx -> payload:string -> string
+(** [encode_frame (Reply { seq; ctx; msg })] byte for byte, given
+    [payload = encode_message msg]: frames an already-encoded reply
+    (the one a reply cache keeps) without encoding [msg] again. *)
+
 val decode_header : ?max_frame:int -> string -> (int * string, error) result
 (** [decode_header hdr] takes exactly {!header_len} bytes and returns
     [(body_length, expected_checksum)]. *)

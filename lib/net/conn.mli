@@ -34,6 +34,9 @@ val send : t -> Codec.frame -> unit
 (** Encode and append to the write buffer (no syscall — call {!flush}
     from the select loop). *)
 
+val send_encoded : t -> string -> unit
+(** {!send} for a frame already encoded (see {!Codec.encode_reply}). *)
+
 val flush : t -> unit
 (** Write as much of the buffered output as the socket accepts. *)
 

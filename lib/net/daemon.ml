@@ -188,7 +188,7 @@ let[@tcvs.lint.root "event-loop"] drain_outbox st =
         Log.debug (fun f -> f "u%d: reply for seq %d" u seq);
         jot_fwd st ~user:u ~seq ~ctx ~ev:"daemon.reply" (Message.kind msg);
         match session_for_user st u with
-        | Some sess -> Conn.send sess.conn (Codec.Reply { seq; ctx; msg })
+        | Some sess -> Conn.send_encoded sess.conn (Codec.encode_reply ~seq ~ctx ~payload)
         | None -> () (* disconnected; the cached reply answers the re-request *))
     | None ->
         Log.warn (fun f -> f "response for u%d with no outstanding request" u)

@@ -197,7 +197,7 @@ type state = {
   outstanding : (int, int * Codec.ctx) Hashtbl.t;
   relays : (int * int, relay) Hashtbl.t;
   compose_q : rop Queue.t; (* global dispatch order *)
-  held : (int * Codec.frame) Queue.t; (* lockstep replies awaiting Commit *)
+  held : (int * string) Queue.t; (* encoded lockstep replies awaiting Commit *)
   mutable g_ctr : int; (* composed ops — the cluster's global ctr *)
   mutable g_last_user : int;
   u_done : int array;
@@ -530,7 +530,7 @@ let compose st (rop : rop) =
 
 let deliver_reply st rop frame =
   match session_for_user st rop.o_user with
-  | Some sess -> Conn.send sess.conn frame
+  | Some sess -> Conn.send_encoded sess.conn frame
   | None -> () (* disconnected; the cached reply answers the re-request *)
 
 (* Compose strictly in dispatch order: the head of [compose_q] may
@@ -552,7 +552,7 @@ let[@tcvs.lint.root "event-loop"] try_compose st =
             Obs.incr c_ops;
             jot st ~user:rop.o_user ~span:rop.o_seq ~ev:"router.reply"
               (Message.kind msg);
-            let frame = Codec.Reply { seq = rop.o_seq; ctx = rop.o_ctx; msg } in
+            let frame = Codec.encode_reply ~seq:rop.o_seq ~ctx:rop.o_ctx ~payload in
             (* two-phase: a lockstep reply only leaves after the round's
                composed root is committed; bench replies flow freely *)
             if rop.o_lockstep then Queue.add (rop.o_user, frame) st.held
@@ -839,7 +839,7 @@ let release_held st =
   Queue.iter
     (fun (u, frame) ->
       match session_for_user st u with
-      | Some sess -> Conn.send sess.conn frame
+      | Some sess -> Conn.send_encoded sess.conn frame
       | None -> ())
     st.held;
   Queue.clear st.held

@@ -101,14 +101,17 @@ let durability_of_string s =
             (Printf.sprintf "%s: unknown durability (per-op | per-round | every:N)"
                s))
 
-(* A [base] is the snapshot a stream's live log is relative to: the
-   file, the highest LSN whose effects it folds in ([-1] for a fresh
-   store), and the scalar bookkeeping as of that point. The per-stream
-   bases live in the generation's [bases.<g>] control file, which is
-   what lets compaction advance one stream's base without rewriting
-   anything else. *)
+(* A [base] is the snapshot a stream's live log is relative to: its
+   file chain, the highest LSN whose effects it folds in ([-1] for a
+   fresh store), and the scalar bookkeeping as of that point. A shard
+   stream's chain is one full snapshot followed by the node-level
+   deltas later checkpoints appended to it, oldest first; the meta
+   stream's chain is always a single file. The per-stream bases live
+   in the generation's [bases.<g>] control file, which is what lets
+   compaction advance one stream's base without rewriting anything
+   else. *)
 type base = {
-  b_file : string;  (* snapshot basename, relative to the store dir *)
+  b_files : string list;  (* snapshot basenames, relative to the store dir *)
   b_asof : int;
   b_ctr : int;
   b_last_user : int;
@@ -131,6 +134,14 @@ type seal = {
   se_sig : string option;
 }
 
+(* Sets and tables keyed by node digest. *)
+module Digest_set = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 (* One rotated log: shard [i]'s op log, or the meta log. Live segments
    are [st_first_seg .. st_seg]; everything below [st_first_seg] has
    been folded into [st_base]. *)
@@ -142,6 +153,16 @@ type stream = {
   mutable st_first_seg : int;  (* first live segment *)
   mutable st_base : base;
   mutable st_seal : seal option;
+  (* Shard streams only: [st_tree] is the last tree the chain of
+     [st_base] persisted, and [st_persisted] the digests of its nodes —
+     all on disk in that chain — so a checkpoint can write just the
+     nodes it lacks. An empty set means "not known in memory" (fresh
+     process state after a recovery, resume or rollback) and forces the
+     next checkpoint to start a new chain with a full snapshot. *)
+  st_persisted : unit Digest_set.t;
+  mutable st_tree : N.t;
+  mutable st_full_bytes : int;  (* payload bytes of the chain's full snapshot *)
+  mutable st_delta_bytes : int;  (* payload bytes of its deltas, summed *)
 }
 
 type t = {
@@ -178,7 +199,6 @@ type t = {
      compaction must not delete those out from under recover_stale. *)
   mutable prev_referenced : string list;
   mutable ops_since_checkpoint : int;
-  mutable opened_db : Shard_db.t;
   mutable closed : bool;
 }
 
@@ -434,7 +454,7 @@ let encode_bases ~gen entries =
   W.u32 w gen;
   W.list w
     (fun (b, first_seg) ->
-      W.str w b.b_file;
+      W.list w (W.str w) b.b_files;
       W.u32 w first_seg;
       W.u64 w (b.b_asof + 1);
       W.u32 w b.b_ctr;
@@ -453,7 +473,8 @@ let decode_bases payload =
         let gen = R.u32 r in
         let entries =
           R.list r (fun r ->
-              let file = R.str r in
+              let files = R.list r R.str in
+              if files = [] then failwith "empty snapshot chain";
               let first_seg = R.u32 r in
               let asof = R.u64 r - 1 in
               let ctr = R.u32 r in
@@ -464,7 +485,7 @@ let decode_bases payload =
                 | 1 -> Some (R.str r)
                 | n -> failwith (Printf.sprintf "bad sig tag %d" n)
               in
-              ( { b_file = file; b_asof = asof; b_ctr = ctr;
+              ( { b_files = files; b_asof = asof; b_ctr = ctr;
                   b_last_user = last_user; b_sig = sg },
                 first_seg ))
         in
@@ -487,9 +508,9 @@ let read_bases dir g ~count =
          (Array.length entries))
   else Ok entries
 
-(* Snapshot basenames referenced by [bases.<g>], or [] when the file is
-   absent/unreadable — used to decide what garbage collection and
-   compaction may delete. *)
+(* Snapshot basenames referenced by [bases.<g>] — every file of every
+   stream's chain — or [] when the file is absent/unreadable: used to
+   decide what garbage collection and compaction may delete. *)
 let bases_files dir g =
   if g < 0 then []
   else
@@ -497,8 +518,7 @@ let bases_files dir g =
     | Error _ -> []
     | Ok payload -> (
         match decode_bases payload with
-        | Ok (_, entries) ->
-            Array.to_list (Array.map (fun (b, _) -> b.b_file) entries)
+        | Ok (_, entries) -> List.concat_map (fun (b, _) -> b.b_files) (Array.to_list entries)
         | Error _ -> [])
 
 let sort_backups backups =
@@ -526,28 +546,53 @@ let bump_seq seqs (user, seq) =
    would generally produce a different root. The loader rebuilds the
    stored structure through the smart constructors — recomputing every
    digest from the raw bytes — and the stored root digest pins the
-   result. *)
-let rec encode_node w (n : N.t) =
-  match n with
-  | N.Leaf { entries; _ } ->
-      W.u8 w 0;
-      W.list w
-        (fun (e : N.entry) ->
-          W.str w e.N.key;
-          W.str w e.N.value)
-        (Array.to_list entries)
-  | N.Node { keys; children; _ } ->
-      W.u8 w 1;
-      W.list w (W.str w) (Array.to_list keys);
-      W.list w (encode_node w) (Array.to_list children)
-  | N.Stub _ ->
-      (* Stored trees are the server's full trees; stubs live only in
-         client-side verification objects. *)
-      invalid_arg "shard snapshot: stub in stored tree"
+   result.
+
+   A snapshot file is either a full snapshot (tags 0 and 1 only) or a
+   node-level delta: the tree is persistent, so a checkpoint walks it
+   from the root and writes a subtree whose digest an earlier file of
+   the chain already holds as tag 2 plus that 32-byte digest. [known]
+   answers "is this digest already on disk"; [fresh] collects the
+   digests this file writes out, [refs] those it references. With
+   nothing known the walk writes today's full-snapshot bytes exactly. *)
+let rec encode_node w ~known ~fresh ~refs (n : N.t) =
+  let d = N.digest n in
+  if known d then begin
+    refs := d :: !refs;
+    W.u8 w 2;
+    W.raw w d
+  end
+  else begin
+    fresh := d :: !fresh;
+    match n with
+    | N.Leaf { entries; _ } ->
+        W.u8 w 0;
+        W.list w
+          (fun (e : N.entry) ->
+            W.str w e.N.key;
+            W.str w e.N.value)
+          (Array.to_list entries)
+    | N.Node { keys; children; _ } ->
+        W.u8 w 1;
+        W.list w (W.str w) (Array.to_list keys);
+        W.list w (encode_node w ~known ~fresh ~refs) (Array.to_list children)
+    | N.Stub _ ->
+        (* Stored trees are the server's full trees; stubs live only in
+           client-side verification objects. *)
+        invalid_arg "shard snapshot: stub in stored tree"
+  end
+
+exception Unresolved_node of string
 
 (* Structural violations raise [Invalid_argument], which [Wire.decode]
-   maps to [None] — same failure surface as a short or garbled read. *)
-let rec decode_node r =
+   maps to [None] — same failure surface as a short or garbled read. A
+   digest reference [resolve] cannot satisfy raises [Unresolved_node].
+   Every node rebuilt here is pushed onto [rebuilt]. *)
+let rec decode_node r ~resolve ~rebuilt =
+  let built n =
+    rebuilt := n :: !rebuilt;
+    n
+  in
   match R.u8 r with
   | 0 ->
       let entries =
@@ -561,38 +606,94 @@ let rec decode_node r =
         if String.compare entries.(i - 1).N.key entries.(i).N.key >= 0 then
           invalid_arg "shard snapshot: leaf entries not sorted"
       done;
-      N.make_leaf entries
+      built (N.make_leaf entries)
   | 1 ->
       let keys = Array.of_list (R.list r (fun r -> R.str r)) in
-      let children = Array.of_list (R.list r decode_node) in
+      let children = Array.of_list (R.list r (decode_node ~resolve ~rebuilt)) in
       if Array.length children < 1 || Array.length keys <> Array.length children - 1
       then invalid_arg "shard snapshot: malformed internal node";
-      N.make_node keys children
+      built (N.make_node keys children)
+  | 2 -> (
+      let d = R.raw r 32 in
+      match resolve d with Some n -> n | None -> raise (Unresolved_node d))
   | _ -> invalid_arg "shard snapshot: unknown node tag"
 
-let write_shard_snapshot_file path i tree =
+let shard_payload i tree ~known ~fresh ~refs =
   let w = W.create () in
   W.u16 w i;
   W.str w (T.root_digest tree);
-  encode_node w (T.root tree);
-  Snapshot.write path ~payload:(W.contents w)
+  encode_node w ~known ~fresh ~refs (T.root tree);
+  W.contents w
 
-let load_shard_snapshot_file path ~branching i =
-  let* payload = Snapshot.read path in
-  let decoded =
-    Wire.decode payload (fun r ->
-        let idx = R.u16 r in
-        let root = R.str r in
-        let node = decode_node r in
-        (idx, root, node))
+(* Write one chain file for shard stream [st] holding [tree], skipping
+   every node of the stream's last persisted tree, then make [tree]
+   the last persisted tree: add the nodes just written, and drop the
+   old tree's nodes [tree] no longer holds — walking the old tree from
+   its root, a node the new file references keeps its whole subtree.
+   The set so stays at one tree's size however long the chain grows.
+   Returns the payload size. *)
+let persist_tree st path i tree =
+  let fresh = ref [] and refs = ref [] in
+  let payload =
+    shard_payload i tree ~known:(Digest_set.mem st.st_persisted) ~fresh ~refs
   in
-  match decoded with
-  | None -> Error (path ^ ": malformed shard snapshot")
-  | Some (idx, _, _) when idx <> i ->
-      Error (Printf.sprintf "%s: shard index mismatch (found %d)" path idx)
-  | Some (_, root, node) ->
-      if String.equal (N.digest node) root then Ok (T.of_root ~branching node)
-      else Error (path ^ ": recovered root digest mismatch")
+  Snapshot.write path ~payload;
+  let kept = Digest_set.create 64 in
+  List.iter (fun d -> Digest_set.replace kept d ()) !refs;
+  let rec retire (n : N.t) =
+    let d = N.digest n in
+    if not (Digest_set.mem kept d) then begin
+      Digest_set.remove st.st_persisted d;
+      match n with
+      | N.Node { children; _ } -> Array.iter retire children
+      | N.Leaf _ | N.Stub _ -> ()
+    end
+  in
+  retire st.st_tree;
+  List.iter (fun d -> Digest_set.replace st.st_persisted d ()) !fresh;
+  st.st_tree <- T.root tree;
+  String.length payload
+
+(* Rebuild shard [i] from its chain, oldest file first. A digest
+   reference resolves only against nodes rebuilt from earlier files —
+   whose checksum and stored root digest already verified — so the
+   full snapshot must stand alone and a delta can never point forward
+   or into itself. Every file's root must match the digest it stores. *)
+let load_shard_chain dir ~branching i files =
+  let nodes = Digest_set.create 1024 in
+  let load_file path =
+    let* payload = Snapshot.read path in
+    let rebuilt = ref [] in
+    match
+      Wire.decode payload (fun r ->
+          let idx = R.u16 r in
+          let root = R.str r in
+          let node = decode_node r ~resolve:(Digest_set.find_opt nodes) ~rebuilt in
+          (idx, root, node))
+    with
+    | exception Unresolved_node d ->
+        Error
+          (Printf.sprintf "%s: unresolved node reference %s" path
+             (String.sub (Crypto.Hex.encode d) 0 16))
+    | None -> Error (path ^ ": malformed shard snapshot")
+    | Some (idx, _, _) when idx <> i ->
+        Error (Printf.sprintf "%s: shard index mismatch (found %d)" path idx)
+    | Some (_, root, node) ->
+        if String.equal (N.digest node) root then begin
+          List.iter (fun n -> Digest_set.replace nodes (N.digest n) n) !rebuilt;
+          Ok node
+        end
+        else Error (path ^ ": recovered root digest mismatch")
+  in
+  let rec go files last =
+    match (files, last) with
+    | [], Some node -> Ok (T.of_root ~branching node)
+    | [], None -> Error (Printf.sprintf "shard%d: empty snapshot chain" i)
+    | f :: rest, _ ->
+        let* node = load_file (dir // f) in
+        go rest (Some node)
+  in
+  go files None
 
 let write_meta_snapshot_file path m =
   let w = W.create () in
@@ -727,20 +828,30 @@ let newest_base entries =
       else (a, c, lu, sg))
     (-1, 0, -1, None) entries
 
-let load_generation dir ~map g =
+(* Every stream's base as [bases.<g>] records it: the shard trees
+   rebuilt from their chains, and the meta snapshot. *)
+let load_bases dir ~map g =
   let shards = Shard_map.shards map and branching = Shard_map.branching map in
-  let n_streams = shards + 1 in
-  let* entries = read_bases dir g ~count:n_streams in
+  let* entries = read_bases dir g ~count:(shards + 1) in
   let rec load_trees i acc =
     if i = shards then Ok (Array.of_list (List.rev acc))
     else
       let b, _ = entries.(i) in
-      let* tree = load_shard_snapshot_file (dir // b.b_file) ~branching i in
+      let* tree = load_shard_chain dir ~branching i b.b_files in
       load_trees (i + 1) (tree :: acc)
   in
   let* trees = load_trees 0 [] in
-  let mb, _ = entries.(shards) in
-  let* msnap = load_meta_snapshot_file (dir // mb.b_file) in
+  let* msnap =
+    match entries.(shards) with
+    | { b_files = [ f ]; _ }, _ -> load_meta_snapshot_file (dir // f)
+    | _ -> Error (bases_path dir g ^ ": meta stream must have a single-file base")
+  in
+  Ok (entries, trees, msnap)
+
+let load_generation dir ~map g =
+  let shards = Shard_map.shards map in
+  let n_streams = shards + 1 in
+  let* entries, trees, msnap = load_bases dir ~map g in
   let guard, g_ctr, g_last, g_sig = newest_base entries in
   let dirty = Array.make shards false in
   let active = Array.make n_streams 0 in
@@ -815,6 +926,10 @@ let make_streams dir ~shards ~gen ~fsync entries active =
         st_first_seg = first;
         st_base = base;
         st_seal = None;
+        st_persisted = Digest_set.create 0;
+        st_tree = N.empty_leaf;
+        st_full_bytes = 0;
+        st_delta_bytes = 0;
       })
 
 let base_entries t = Array.map (fun st -> (st.st_base, st.st_first_seg)) t.streams
@@ -847,9 +962,10 @@ let classify_file f =
 let gc t ~prev =
   let prev_refs = bases_files t.dir prev in
   t.prev_referenced <- prev_refs;
-  let referenced =
-    prev_refs @ Array.to_list (Array.map (fun st -> st.st_base.b_file) t.streams)
-  in
+  let referenced = Hashtbl.create 64 in
+  let keep f = Hashtbl.replace referenced f () in
+  List.iter keep prev_refs;
+  Array.iter (fun st -> List.iter keep st.st_base.b_files) t.streams;
   let files = Sys.readdir t.dir in
   Array.sort String.compare files;
   Array.iter
@@ -863,13 +979,13 @@ let gc t ~prev =
             | Some (Gc_bases g) | Some (Gc_wal g) ->
                 if g <> t.gen && g <> prev then remove_if_exists (t.dir // f)
             | Some (Gc_snap _) ->
-                if not (List.mem f referenced) then remove_if_exists (t.dir // f)
+                if not (Hashtbl.mem referenced f) then remove_if_exists (t.dir // f)
             | None -> ()))
     files
 
 (* ---- accessors ------------------------------------------------------ *)
 
-let db t = t.opened_db
+let db t = t.last_db
 let shard_map t = t.map
 let generation t = t.gen
 let dir t = t.dir
@@ -926,6 +1042,16 @@ let flush_streams t =
   Array.iter (fun st -> flush_stream t st) t.streams;
   t.staged_since_flush <- 0
 
+(* Start a new chain for shard stream [st]: a full snapshot of [tree]
+   named [name], whose nodes become the whole persisted-digest set.
+   Returns the chain. *)
+let write_full_snapshot t st i tree name =
+  Digest_set.reset st.st_persisted;
+  st.st_tree <- N.empty_leaf;
+  st.st_full_bytes <- persist_tree st (t.dir // name) i tree;
+  st.st_delta_bytes <- 0;
+  [ name ]
+
 (* Fold one stream's sealed segments into a compaction snapshot: write
    the snapshot from the seal, publish it as the stream's new base
    with one atomic [bases.<g>] rewrite, then delete the folded
@@ -941,7 +1067,7 @@ let write_compaction_snapshot t st se =
         | Some tree -> tree
         | None -> invalid_arg "compaction seal without tree"
       in
-      write_shard_snapshot_file (t.dir // snap) i tree
+      write_full_snapshot t st i tree snap
   | None ->
       write_meta_snapshot_file (t.dir // snap)
         {
@@ -952,18 +1078,18 @@ let write_compaction_snapshot t st se =
           m_backups = se.se_backups;
           m_seqs = se.se_seqs;
           m_replies = se.se_replies;
-        });
-  snap
+        };
+      [ snap ])
 
 let compact_stream t st =
   match st.st_seal with
   | None -> ()
   | Some se ->
-      let snap = write_compaction_snapshot t st se in
+      let chain = write_compaction_snapshot t st se in
       let old_base = st.st_base and old_first = st.st_first_seg in
       st.st_base <-
         {
-          b_file = snap;
+          b_files = chain;
           b_asof = se.se_asof;
           b_ctr = se.se_ctr;
           b_last_user = se.se_last_user;
@@ -975,12 +1101,15 @@ let compact_stream t st =
       for s = old_first to st.st_seg - 1 do
         remove_if_exists (seg_path t.dir st.st_name t.gen s)
       done;
-      if not (List.mem old_base.b_file t.prev_referenced) then
-        remove_if_exists (t.dir // old_base.b_file);
+      List.iter
+        (fun f ->
+          if not (List.exists (String.equal f) t.prev_referenced) then
+            remove_if_exists (t.dir // f))
+        old_base.b_files;
       Obs.incr c_compactions;
       Log.debug (fun f ->
           f "%s: %s compacted segments %d..%d into %s" t.dir st.st_name old_first
-            (st.st_seg - 1) snap)
+            (st.st_seg - 1) (String.concat "," chain))
 
 let auto_compact t =
   Array.iter
@@ -1005,6 +1134,21 @@ let compact t =
 
 (* ---- checkpoint ----------------------------------------------------- *)
 
+(* Persist shard stream [st]'s [tree] for a checkpoint and return its
+   new chain. Usually a delta appended to the current chain, holding
+   only the nodes the window changed. A new chain starts with a full
+   snapshot when the persisted set is unknown, or once the deltas have
+   grown to the full snapshot's size: that bounds the bytes written to
+   twice the deltas' and the bytes recovery reads to about twice a
+   full snapshot. *)
+let snapshot_shard t st i tree name =
+  if Digest_set.length st.st_persisted = 0 || st.st_delta_bytes >= st.st_full_bytes
+  then write_full_snapshot t st i tree name
+  else begin
+    st.st_delta_bytes <- st.st_delta_bytes + persist_tree st (t.dir // name) i tree;
+    st.st_base.b_files @ [ name ]
+  end
+
 let checkpoint t ~db =
   let t0 = now_us () in
   let shards = Shard_map.shards t.map in
@@ -1015,15 +1159,16 @@ let checkpoint t ~db =
   let asof = t.next_lsn - 1 in
   let trees = Shard_db.trees db in
   (* Incremental: only shards dirtied since the last checkpoint get a
-     fresh snapshot; a clean shard keeps its current base, whose file
-     may come from an older generation (the bases file carries the
-     reference across). *)
+     fresh chain file; a clean shard keeps its current base, whose
+     files may come from older generations (the bases file carries the
+     references across). *)
   for i = 0 to shards - 1 do
     if t.dirty.(i) then begin
+      let st = t.streams.(i) in
       let name = Printf.sprintf "shard%d.%d.snap" i g' in
-      write_shard_snapshot_file (t.dir // name) i trees.(i);
-      t.streams.(i).st_base <-
-        { b_file = name; b_asof = asof; b_ctr = t.ctr; b_last_user = t.last_user;
+      let chain = snapshot_shard t st i trees.(i) name in
+      st.st_base <-
+        { b_files = chain; b_asof = asof; b_ctr = t.ctr; b_last_user = t.last_user;
           b_sig = t.root_sig }
     end
   done;
@@ -1039,7 +1184,7 @@ let checkpoint t ~db =
       m_replies = t.replies;
     };
   t.streams.(shards).st_base <-
-    { b_file = meta_name; b_asof = asof; b_ctr = t.ctr; b_last_user = t.last_user;
+    { b_files = [ meta_name ]; b_asof = asof; b_ctr = t.ctr; b_last_user = t.last_user;
       b_sig = t.root_sig };
   Array.iter
     (fun st ->
@@ -1209,6 +1354,7 @@ let recover t =
           st.st_first_seg <- first;
           st.st_seg <- l.l_active.(i);
           st.st_seal <- None;
+          Digest_set.reset st.st_persisted;
           st.st_writer <-
             open_segment t.dir ~fsync:t.fsync st.st_name t.gen l.l_active.(i))
         t.streams;
@@ -1225,22 +1371,7 @@ let recover_stale t =
     if t.gen > 0 && Sys.file_exists (bases_path t.dir (t.gen - 1)) then t.gen - 1
     else t.gen
   in
-  let load () =
-    let* entries = read_bases t.dir stale ~count:(shards + 1) in
-    let branching = Shard_map.branching t.map in
-    let rec load_trees i acc =
-      if i = shards then Ok (Array.of_list (List.rev acc))
-      else
-        let b, _ = entries.(i) in
-        let* tree = load_shard_snapshot_file (t.dir // b.b_file) ~branching i in
-        load_trees (i + 1) (tree :: acc)
-    in
-    let* trees = load_trees 0 [] in
-    let mb, _ = entries.(shards) in
-    let* msnap = load_meta_snapshot_file (t.dir // mb.b_file) in
-    Ok (entries, trees, msnap)
-  in
-  match load () with
+  match load_bases t.dir ~map:t.map stale with
   | Error _ as e ->
       reopen_writers t;
       e
@@ -1307,21 +1438,23 @@ let baseline t ~db ~m =
   let asof = m.m_next_lsn - 1 in
   let trees = Shard_db.trees db in
   for i = 0 to shards - 1 do
-    let name = Printf.sprintf "shard%d.%d.snap" i t.gen in
-    write_shard_snapshot_file (t.dir // name) i trees.(i);
-    t.streams.(i).st_base <-
-      { b_file = name; b_asof = asof; b_ctr = m.m_ctr; b_last_user = m.m_last_user;
+    let st = t.streams.(i) in
+    let chain =
+      write_full_snapshot t st i trees.(i) (Printf.sprintf "shard%d.%d.snap" i t.gen)
+    in
+    st.st_base <-
+      { b_files = chain; b_asof = asof; b_ctr = m.m_ctr; b_last_user = m.m_last_user;
         b_sig = m.m_root_sig }
   done;
   let meta_name = Printf.sprintf "meta.%d.snap" t.gen in
   write_meta_snapshot_file (t.dir // meta_name) m;
   t.streams.(shards).st_base <-
-    { b_file = meta_name; b_asof = asof; b_ctr = m.m_ctr;
+    { b_files = [ meta_name ]; b_asof = asof; b_ctr = m.m_ctr;
       b_last_user = m.m_last_user; b_sig = m.m_root_sig };
   write_bases t;
   write_current t.dir t.gen
 
-let dummy_base = { b_file = ""; b_asof = -1; b_ctr = 0; b_last_user = -1; b_sig = None }
+let dummy_base = { b_files = []; b_asof = -1; b_ctr = 0; b_last_user = -1; b_sig = None }
 
 let fresh_streams dir ~shards ~gen ~fsync =
   make_streams dir ~shards ~gen ~fsync
@@ -1376,7 +1509,6 @@ let create_or_open ?(fsync = false) ?(durability = Per_op)
         staged_since_flush = 0;
         prev_referenced = [];
         ops_since_checkpoint = 0;
-        opened_db = db;
         closed = false;
       }
     in
@@ -1418,7 +1550,6 @@ let create_or_open ?(fsync = false) ?(durability = Per_op)
         staged_since_flush = 0;
         prev_referenced = [];
         ops_since_checkpoint = 0;
-        opened_db = l.l_db;
         closed = false;
       }
     in
@@ -1474,7 +1605,6 @@ let resume ?(fsync = false) ?(durability = Per_op) ?(checkpoint_every = 64)
         staged_since_flush = 0;
         prev_referenced = bases_files dir (g - 1);
         ops_since_checkpoint = 0;
-        opened_db = l.l_db;
         closed = false;
       }
     in
@@ -1507,8 +1637,10 @@ let debug_partial_checkpoint t ~db =
   flush_streams t;
   let g' = t.gen + 1 in
   let trees = Shard_db.trees db in
-  write_shard_snapshot_file (t.dir // Printf.sprintf "shard0.%d.snap" g') 0
-    trees.(0);
+  Snapshot.write
+    (t.dir // Printf.sprintf "shard0.%d.snap" g')
+    ~payload:
+      (shard_payload 0 trees.(0) ~known:(fun _ -> false) ~fresh:(ref []) ~refs:(ref []));
   let tmp = t.dir // Printf.sprintf "meta.%d.snap.tmp" g' in
   let oc = open_out_bin tmp in
   output_string oc "TCVSSNP1\x00\x00half-written";
@@ -1534,11 +1666,11 @@ let debug_partial_compact t ~publish =
       output_string oc "TCVSSNP1half";
       close_out oc
   | (st, se) :: _ ->
-      let snap = write_compaction_snapshot t st se in
+      let chain = write_compaction_snapshot t st se in
       if publish then begin
         st.st_base <-
           {
-            b_file = snap;
+            b_files = chain;
             b_asof = se.se_asof;
             b_ctr = se.se_ctr;
             b_last_user = se.se_last_user;
@@ -1548,7 +1680,9 @@ let debug_partial_compact t ~publish =
         st.st_seal <- None;
         write_bases t
         (* ...and die before deleting the folded segments. *)
-      end
+      end;
+      (* The process dies: its persisted-digest set dies with it. *)
+      Digest_set.reset st.st_persisted
 
 (* ---- read-only inspection (tcvs_cli store-inspect) ------------------ *)
 
@@ -1563,9 +1697,15 @@ type segment_info = {
   seg_status : string;  (* "ok" | "torn tail" | error text *)
 }
 
+type chain_file = {
+  cf_file : string;
+  cf_bytes : int;  (* -1 when the file is missing *)
+  cf_delta : bool;  (* false for the chain's leading full snapshot *)
+}
+
 type stream_info = {
   str_name : string;
-  str_base_file : string;
+  str_chain : chain_file list;  (* oldest first *)
   str_base_asof : int;
   str_base_ok : bool;
   str_compacted : bool;  (* first live segment > 0 *)
@@ -1620,14 +1760,28 @@ let inspect ~dir =
       List.init (shards + 1) (fun i ->
           let base, first = entries.(i) in
           let name = stream_name ~shards i in
-          account base.b_file;
+          List.iter account base.b_files;
           if base.b_asof > !max_lsn then max_lsn := base.b_asof;
+          let chain =
+            List.mapi
+              (fun j f ->
+                let path = dir // f in
+                { cf_file = f;
+                  cf_bytes =
+                    (if Sys.file_exists path then (Unix.stat path).Unix.st_size else -1);
+                  cf_delta = j > 0 })
+              base.b_files
+          in
+          (* The whole chain must rebuild and verify, not just its files'
+             checksums. *)
           let base_ok =
             if i < shards then
               Result.is_ok
-                (load_shard_snapshot_file (dir // base.b_file)
-                   ~branching:(Shard_map.branching map) i)
-            else Result.is_ok (load_meta_snapshot_file (dir // base.b_file))
+                (load_shard_chain dir ~branching:(Shard_map.branching map) i base.b_files)
+            else
+              match base.b_files with
+              | [ f ] -> Result.is_ok (load_meta_snapshot_file (dir // f))
+              | _ -> false
           in
           let rec segs s acc =
             let path = seg_path dir name g s in
@@ -1668,7 +1822,7 @@ let inspect ~dir =
           in
           {
             str_name = name;
-            str_base_file = base.b_file;
+            str_chain = chain;
             str_base_asof = base.b_asof;
             str_base_ok = base_ok;
             str_compacted = first > 0;

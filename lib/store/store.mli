@@ -10,10 +10,12 @@
     CURRENT               ASCII generation number (tmp+rename updates)
     bases.<g>             generation g's control file: one entry per
                           stream (shards, then meta) naming its base
-                          snapshot, the first live segment, and the
-                          bookkeeping as of the base (atomic rewrite —
-                          how compaction publishes)
-    shard<i>.<g>.snap     shard i's tree at the start of generation g
+                          snapshot chain, the first live segment, and
+                          the bookkeeping as of the base (atomic
+                          rewrite — how compaction publishes)
+    shard<i>.<g>.snap     shard i's tree at the start of generation g:
+                          a full snapshot, or a node-level delta over
+                          the earlier files of its chain
     shard<i>.<g>.c<s>.snap  compaction snapshot: shard i folded up to
                           the start of segment s
     shard<i>.<g>.<s>.wal  segment s of shard i's op log (checksummed
@@ -46,16 +48,22 @@
     stale segments (both garbage-collected at the next checkpoint).
 
     {b Checkpoints} are incremental: only shards with ops logged since
-    the last checkpoint get a fresh snapshot; clean shards carry their
-    base forward through the new generation's bases file. Exactly one
+    the last checkpoint get a new snapshot file, and that file is a
+    delta holding only the Merkle nodes the shard's base chain lacks —
+    every unchanged subtree is a 32-byte digest reference. A chain is
+    one full snapshot followed by deltas; a new one starts after a
+    recovery, resume, rollback or compaction, and whenever the deltas
+    reach the full snapshot's size. Clean shards carry their chain
+    forward through the new generation's bases file. Exactly one
     previous generation is retained (the one {!recover_stale} rolls
-    back to).
+    back to), with every chain file either generation reaches.
 
-    Recovery = per-stream bases + live-segment replay in LSN order,
-    with shard trees rebuilt by [Merkle_btree.of_sorted_array] — bulk
-    load is node-for-node identical to incremental insertion, so
-    recovered root digests are byte-identical to the pre-crash roots
-    (pinned by tests). Torn tails are legal only on active segments
+    Recovery = per-stream bases + live-segment replay in LSN order.
+    Each shard's chain is rebuilt oldest file first through the node
+    smart constructors (every digest recomputed from the stored bytes,
+    digest references resolved only against earlier, verified files),
+    so recovered root digests are byte-identical to the pre-crash
+    roots (pinned by tests). Torn tails are legal only on active segments
     (truncated with a logged warning); a torn sealed segment or
     mid-log corruption is a hard error (see {!Wal}). *)
 
@@ -156,8 +164,9 @@ val resume :
     Errors if the directory or MANIFEST is missing. *)
 
 val db : t -> Shard_db.t
-(** The database state as of {!create_or_open} — what a server should
-    start serving from. *)
+(** The database as of the last logged op or recovery; right after
+    {!create_or_open} or {!resume}, what a server should start serving
+    from. The store keeps no older version alive. *)
 
 val shard_map : t -> Shard_map.t
 val generation : t -> int
@@ -208,9 +217,15 @@ val compact : t -> unit
 
 val checkpoint : t -> db:Shard_db.t -> unit
 (** Force a checkpoint of [db] plus the current bookkeeping mirror.
-    Incremental: only shards dirtied since the previous checkpoint are
-    re-snapshotted; clean shards carry their base snapshot into the
-    new generation via its bases file. *)
+    Incremental twice over: only shards dirtied since the previous
+    checkpoint get a new file, and that file is normally a node-level
+    delta holding only the Merkle nodes missing from the shard's base
+    chain (unchanged subtrees become 32-byte digest references). A
+    full snapshot starts a new chain when the chain is unknown in
+    memory (after {!recover}, {!resume}, {!recover_stale}) or once the
+    chain's delta bytes reach the size of its full snapshot. Clean
+    shards carry their chain into the new generation via its bases
+    file. *)
 
 val recover : t -> (recovered, string) result
 (** Honest crash recovery: staged-but-unflushed records are discarded
@@ -269,11 +284,21 @@ type segment_info = {
   seg_status : string;  (** ["ok"] | ["torn tail"] | error text *)
 }
 
+type chain_file = {
+  cf_file : string;
+  cf_bytes : int;  (** file size; -1 when the file is missing *)
+  cf_delta : bool;  (** [false] for the chain's leading full snapshot *)
+}
+
 type stream_info = {
   str_name : string;
-  str_base_file : string;
+  str_chain : chain_file list;
+      (** the base's snapshot chain, oldest first: one full snapshot,
+          then (shard streams only) node-level deltas *)
   str_base_asof : int;
-  str_base_ok : bool;  (** base snapshot reads back valid *)
+  str_base_ok : bool;
+      (** the whole chain reads back, rebuilds and verifies against
+          every stored root digest *)
   str_compacted : bool;  (** first live segment > 0 *)
   str_first_seg : int;
   str_segments : segment_info list;
@@ -295,7 +320,8 @@ type info = {
 
 val inspect : dir:string -> (info, string) result
 (** Dump a store directory without mutating it: manifest state,
-    generation, per-stream bases and live segments (record counts, LSN
+    generation, per-stream base chains (each verified end to end) and
+    live segments (record counts, LSN
     ranges, checksum status), and orphaned files. Reads manifests
     without repairing and segments with [Wal.read ~repair:false]. *)
 

@@ -561,6 +561,30 @@ let test_branching_validation () =
     (Invalid_argument "Merkle_btree.create: branching must be >= 4") (fun () ->
       ignore (T.create ~branching:3 ()))
 
+(* The proof_depth histogram records how many nodes each generated VO
+   materialises along the op's access path — the tree's height for a
+   point op, one more through a sharded VO's composition node. *)
+let test_vo_proof_depth_is_access_path () =
+  let tree = T.of_alist ~branching:4 (List.init 300 (fun i -> (key i, string_of_int i))) in
+  let height = T.depth tree in
+  Alcotest.(check bool) "a multi-level tree" true (height >= 4);
+  let observed f =
+    let sum () = match Obs.stats "mtree.proof_depth" with Some (_, s, _, _) -> s | None -> 0 in
+    let before = sum () in
+    f ();
+    sum () - before
+  in
+  List.iter
+    (fun op ->
+      Alcotest.(check int) "flat proof depth = tree height" height
+        (observed (fun () -> ignore (Vo.generate tree op))))
+    [ Vo.Get (key 0); Vo.Get (key 299); Vo.Set (key 150, "x"); Vo.Remove (key 77);
+      Vo.Get "absent" ];
+  let trees = [| tree; T.of_alist ~branching:4 [ ("zz", "1") ] |] in
+  Alcotest.(check int) "sharded proof adds the composition level" (height + 1)
+    (observed (fun () ->
+         ignore (Vo.generate_sharded ~boundaries:[| "zz" |] ~trees (Vo.Get (key 42)))))
+
 (* qcheck: arbitrary op sequences keep tree = model and VOs replaying *)
 let prop_random_sequences =
   let op_gen =
@@ -640,6 +664,7 @@ let suite =
     quick "seed fixtures: root digests" test_seed_root_fixtures;
     quick "seed fixtures: VO wire format" test_seed_vo_wire_fixtures;
     quick "vo: size_bytes exact" test_vo_size_bytes_exact;
+    quick "vo: proof depth is the access path" test_vo_proof_depth_is_access_path;
     quick "branching validation" test_branching_validation;
     QCheck_alcotest.to_alcotest prop_random_sequences;
   ]

@@ -201,6 +201,22 @@ let test_message_roundtrips () =
             (Codec.encode_message decoded))
     sample_messages
 
+(* A server frames its cached reply payload directly; the bytes must be
+   exactly the Reply frame encoded from the message, for every message
+   shape and for both ctx shapes the sample frames carry. *)
+let test_encoded_reply_identical () =
+  List.iter
+    (fun msg ->
+      List.iter
+        (fun (seq, ctx) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s reply seq %d framed from its payload" (M.kind msg) seq)
+            (Codec.encode_frame (Codec.Reply { seq; ctx; msg }))
+            (Codec.encode_reply ~seq ~ctx ~payload:(Codec.encode_message msg)))
+        [ (1, { Codec.x_round = 1; x_user = 2; x_span = 1 });
+          (70000, { Codec.x_round = 0; x_user = -1; x_span = 70000 }) ])
+    sample_messages
+
 (* ---- strict decoding under damage ------------------------------------- *)
 
 let expect_error what = function
@@ -377,6 +393,7 @@ let suite =
   [
     Alcotest.test_case "codec: frame round-trips" `Quick test_frame_roundtrips;
     Alcotest.test_case "codec: message round-trips" `Quick test_message_roundtrips;
+    Alcotest.test_case "codec: encoded reply identical" `Quick test_encoded_reply_identical;
     Alcotest.test_case "codec: truncation rejected" `Quick test_truncation_rejected;
     Alcotest.test_case "codec: bit flips rejected" `Quick test_bit_flips_rejected;
     Alcotest.test_case "codec: oversized rejected" `Quick test_oversized_rejected;

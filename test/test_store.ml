@@ -638,6 +638,306 @@ let test_store_inspect_layout () =
         info.Store.info_streams;
       rm_rf dir
 
+(* ---- delta checkpoint chains ------------------------------------------ *)
+
+let hex_root db = Crypto.Hex.encode (Store.Shard_db.root_digest db)
+
+let inspect_ok dir =
+  match Store.inspect ~dir with
+  | Ok info -> info
+  | Error e -> Alcotest.failf "inspect failed: %s" e
+
+let chain_of info name =
+  match List.find_opt (fun s -> String.equal s.Store.str_name name) info.Store.info_streams with
+  | Some s -> s.Store.str_chain
+  | None -> Alcotest.failf "no stream %s" name
+
+let set_op i = Vo.Set (Printf.sprintf "src/file_%02d.ml" (i mod 20), Printf.sprintf "d%d" i)
+
+(* Many checkpoints append deltas until their bytes reach the full
+   snapshot's, which starts a new chain; the store recovers the live
+   root through every shape the chain takes on the way. *)
+let test_store_delta_chain_recovery () =
+  let dir = fresh_dir "delta-chain" in
+  let initial = initial_files 20 in
+  let store =
+    expect_fresh
+      (Store.create_or_open ~checkpoint_every:1 ~dir ~branching:4 ~shards:1 ~initial ())
+  in
+  let longest = ref 1 and restarted = ref false in
+  let db = ref (Store.db store) in
+  for i = 0 to 79 do
+    let op = set_op i in
+    let db', _ = Store.Shard_db.apply !db op in
+    db := db';
+    Store.log_op store ~db:db' ~op ~ctr:(i + 1) ~last_user:0;
+    let chain = chain_of (inspect_ok dir) "shard0" in
+    let len = List.length chain in
+    if len < !longest then restarted := true;
+    longest := max !longest len;
+    Alcotest.(check bool) "chain head is a full snapshot" false (List.hd chain).Store.cf_delta;
+    Alcotest.(check bool) "the rest are deltas" true
+      (List.for_all (fun c -> c.Store.cf_delta) (List.tl chain))
+  done;
+  Alcotest.(check bool) "deltas accumulated" true (!longest > 2);
+  Alcotest.(check bool) "an automatic full rewrite started a new chain" true !restarted;
+  let r = expect_recovered (Store.recover store) in
+  Alcotest.(check string) "recovered root = live root" (hex_root !db) (hex_root r.Store.db);
+  Store.close store;
+  let store2 =
+    expect_reopened (Store.create_or_open ~dir ~branching:4 ~shards:1 ~initial ())
+  in
+  Alcotest.(check string) "cold reopen agrees" (hex_root !db) (hex_root (Store.db store2));
+  Store.close store2;
+  rm_rf dir;
+  (* The pinned 4-shard root, reached through one delta per op. *)
+  let dir = fresh_dir "delta-pinned" in
+  let store =
+    expect_fresh
+      (Store.create_or_open ~checkpoint_every:1 ~dir ~branching:8 ~shards:4 ~initial ())
+  in
+  ignore (apply_logged store (Store.db store) ops_script);
+  let r = expect_recovered (Store.recover store) in
+  Alcotest.(check string) "recovered root is pinned" pinned_final_root (hex_root r.Store.db);
+  Store.close store;
+  rm_rf dir
+
+(* Build a closed store whose shard 0 chain is [full; delta]: returns
+   the dir, the database the full snapshot holds, and both files' paths. *)
+let store_with_delta name =
+  let dir = fresh_dir name in
+  let initial = initial_files 20 in
+  let store =
+    expect_fresh
+      (Store.create_or_open ~checkpoint_every:1000 ~dir ~branching:4 ~shards:1 ~initial ())
+  in
+  let db0 = Store.db store in
+  let db, _ = Store.Shard_db.apply db0 (set_op 3) in
+  Store.log_op store ~db ~op:(set_op 3) ~ctr:1 ~last_user:0;
+  Store.checkpoint store ~db;
+  Store.close store;
+  match chain_of (inspect_ok dir) "shard0" with
+  | [ full; delta ] ->
+      Alcotest.(check bool) "second file is a delta" true delta.Store.cf_delta;
+      (dir, db0, Filename.concat dir full.Store.cf_file,
+       Filename.concat dir delta.Store.cf_file)
+  | chain -> Alcotest.failf "expected a two-file chain, got %d" (List.length chain)
+
+let expect_resume_error label dir =
+  match Store.resume ~dir () with
+  | Ok (s, r) ->
+      Store.close s;
+      Alcotest.failf "%s: recovered root %s instead of an error" label (hex_root r.Store.db)
+  | Error _ -> ()
+
+(* Damage anywhere in a chain is a recovery error, never a wrong root:
+   a flipped byte (checksum), a missing parent, and a well-checksummed
+   delta whose digest reference points at nothing the chain holds. *)
+let test_store_delta_damage_is_an_error () =
+  let dir, _, _, delta = store_with_delta "delta-flip" in
+  flip_byte delta 40;
+  expect_resume_error "flipped delta byte" dir;
+  Alcotest.(check bool) "inspect flags the chain" false
+    (List.hd (inspect_ok dir).Store.info_streams).Store.str_base_ok;
+  rm_rf dir;
+  let dir, _, full, _ = store_with_delta "delta-parent" in
+  Sys.remove full;
+  expect_resume_error "missing parent" dir;
+  rm_rf dir;
+  let dir, db0, _, delta = store_with_delta "delta-dangling" in
+  let payload =
+    match Store.Snapshot.read delta with Ok p -> p | Error e -> Alcotest.fail e
+  in
+  (* An unchanged child of the old root is written as tag 2 + digest;
+     point that reference at a digest no file holds. *)
+  let old_children =
+    match T.root (Store.Shard_db.trees db0).(0) with
+    | Mtree.Node.Node { children; _ } -> Array.to_list (Array.map Mtree.Node.digest children)
+    | _ -> Alcotest.fail "expected an internal root"
+  in
+  let find_sub s sub =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length s then None
+      else if String.equal (String.sub s i n) sub then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let pos =
+    match List.find_map (fun d -> find_sub payload ("\x02" ^ d)) old_children with
+    | Some p -> p
+    | None -> Alcotest.fail "delta holds no reference to an unchanged child"
+  in
+  let b = Bytes.of_string payload in
+  Bytes.set b (pos + 1) (Char.chr (Char.code (Bytes.get b (pos + 1)) lxor 1));
+  Store.Snapshot.write delta ~payload:(Bytes.to_string b);
+  (match Store.resume ~dir () with
+  | Ok (s, _) ->
+      Store.close s;
+      Alcotest.fail "a dangling digest reference must not recover"
+  | Error e ->
+      Alcotest.(check bool) ("typed unresolved-reference error: " ^ e) true
+        (Option.is_some (find_sub e "unresolved node reference")));
+  rm_rf dir
+
+(* The previous generation's chain is a prefix of the current one, so a
+   rollback across deltas lands exactly on the previous checkpoint. *)
+let test_store_delta_stale_recovery () =
+  let dir = fresh_dir "delta-stale" in
+  let initial = initial_files 20 in
+  let store =
+    expect_fresh
+      (Store.create_or_open ~checkpoint_every:1000 ~dir ~branching:4 ~shards:2 ~initial ())
+  in
+  let step (db, i) =
+    let db', _ = Store.Shard_db.apply db (set_op i) in
+    Store.log_op store ~db:db' ~op:(set_op i) ~ctr:(i + 1) ~last_user:0;
+    (db', i + 1)
+  in
+  let db1, n = step (step (Store.db store, 0)) in
+  Store.checkpoint store ~db:db1;
+  let db2, n = step (step (db1, n)) in
+  Store.checkpoint store ~db:db2;
+  Alcotest.(check bool) "the current chain holds deltas" true
+    (List.exists
+       (fun s -> List.length s.Store.str_chain > 2)
+       (inspect_ok dir).Store.info_streams);
+  let db3, _ = step (db2, n) in
+  let r = expect_recovered (Store.recover_stale store) in
+  Alcotest.(check string) "rolled back to the previous checkpoint" (hex_root db1)
+    (hex_root r.Store.db);
+  Alcotest.(check bool) "state regressed" false
+    (String.equal (hex_root db3) (hex_root r.Store.db));
+  (* The rewound store starts fresh chains and keeps recovering. *)
+  let db4, _ = Store.Shard_db.apply r.Store.db (set_op 7) in
+  Store.log_op store ~db:db4 ~op:(set_op 7) ~ctr:(r.Store.ctr + 1) ~last_user:0;
+  Store.checkpoint store ~db:db4;
+  let r2 = expect_recovered (Store.recover store) in
+  Alcotest.(check string) "post-rollback checkpoint recoverable" (hex_root db4)
+    (hex_root r2.Store.db);
+  Store.close store;
+  rm_rf dir
+
+(* After every checkpoint, both the current and the previous
+   generation's chains are whole on disk, and nothing else is left. *)
+let test_store_delta_gc_keeps_chains () =
+  let dir = fresh_dir "delta-gc" in
+  let initial = initial_files 20 in
+  let store =
+    expect_fresh
+      (Store.create_or_open ~checkpoint_every:2 ~dir ~branching:4 ~shards:2 ~initial ())
+  in
+  let files info =
+    List.concat_map
+      (fun s -> List.map (fun c -> c.Store.cf_file) s.Store.str_chain)
+      info.Store.info_streams
+  in
+  let prev = ref (files (inspect_ok dir)) in
+  let db = ref (Store.db store) in
+  for i = 0 to 99 do
+    let db', _ = Store.Shard_db.apply !db (set_op i) in
+    db := db';
+    Store.log_op store ~db:db' ~op:(set_op i) ~ctr:(i + 1) ~last_user:0;
+    let info = inspect_ok dir in
+    List.iter
+      (fun f ->
+        Alcotest.(check bool) (f ^ " still on disk") true
+          (Sys.file_exists (Filename.concat dir f)))
+      (!prev @ files info);
+    Alcotest.(check (list string)) "no orphans" [] info.Store.info_orphans;
+    List.iter
+      (fun s -> Alcotest.(check bool) (s.Store.str_name ^ " verifies") true s.Store.str_base_ok)
+      info.Store.info_streams;
+    if i mod 2 = 1 then prev := files info
+  done;
+  Store.close store;
+  rm_rf dir
+
+(* Seeded exploration: random writes, reads, removes, explicit
+   checkpoints, rolled and compacted segments, honest crashes and
+   crashes mid-checkpoint. Every recovery must land on the root of the
+   same ops folded through [Shard_db.apply]. *)
+let test_store_delta_random_crashes () =
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let dir = fresh_dir (Printf.sprintf "delta-rand-%d" seed) in
+      let initial = initial_files 20 in
+      let store =
+        expect_fresh
+          (Store.create_or_open ~checkpoint_every:40 ~segment_bytes:512 ~compact_segments:2
+             ~dir ~branching:4 ~shards:2 ~initial ())
+      in
+      let compactions0 = Obs.value "store.compactions" in
+      let oracle = ref (Store.db store) and db = ref (Store.db store) and ctr = ref 0 in
+      for step = 0 to 299 do
+        let key = Printf.sprintf "src/file_%02d.ml" (Random.State.int rng 40) in
+        let op =
+          match Random.State.int rng 10 with
+          | 0 | 1 -> Vo.Get key
+          | 2 -> Vo.Remove key
+          | _ -> Vo.Set (key, Printf.sprintf "s%d-%d" seed step)
+        in
+        let db', _ = Store.Shard_db.apply !db op in
+        let o', _ = Store.Shard_db.apply !oracle op in
+        db := db';
+        oracle := o';
+        incr ctr;
+        Store.log_op store ~db:db' ~op ~ctr:!ctr ~last_user:0;
+        Store.flush store;
+        match Random.State.int rng 20 with
+        | 0 -> Store.checkpoint store ~db:db'
+        | 1 | 2 ->
+            if Random.State.bool rng then Store.debug_partial_checkpoint store ~db:db';
+            let r = expect_recovered (Store.recover store) in
+            Alcotest.(check string)
+              (Printf.sprintf "seed %d step %d: recovered = oracle" seed step)
+              (hex_root !oracle) (hex_root r.Store.db);
+            db := r.Store.db
+        | _ -> ()
+      done;
+      Alcotest.(check bool) "segments were compacted along the way" true
+        (Obs.value "store.compactions" > compactions0);
+      Store.close store;
+      let store2 =
+        expect_reopened (Store.create_or_open ~dir ~branching:4 ~shards:2 ~initial ())
+      in
+      Alcotest.(check string) (Printf.sprintf "seed %d: cold reopen = oracle" seed)
+        (hex_root !oracle) (hex_root (Store.db store2));
+      Store.close store2;
+      rm_rf dir)
+    [ 1; 2; 3 ]
+
+(* A window of reads dirties the shard (reads are logged for counter
+   bookkeeping) but changes no node: its delta is one root reference. *)
+let test_store_delta_read_window_tiny () =
+  let dir = fresh_dir "delta-reads" in
+  let initial = initial_files 20 in
+  let store =
+    expect_fresh
+      (Store.create_or_open ~checkpoint_every:1000 ~dir ~branching:4 ~shards:1 ~initial ())
+  in
+  let db = Store.db store in
+  List.iteri
+    (fun i k -> Store.log_op store ~db ~op:(Vo.Get k) ~ctr:(i + 1) ~last_user:0)
+    [ "src/file_01.ml"; "src/file_02.ml"; "src/file_03.ml" ];
+  Store.checkpoint store ~db;
+  Store.close store;
+  (match chain_of (inspect_ok dir) "shard0" with
+  | [ full; delta ] ->
+      Alcotest.(check bool) "a delta was written" true delta.Store.cf_delta;
+      (* 16-byte file header, shard index, framed root digest, one
+         tag-2 reference. *)
+      Alcotest.(check int) "delta bytes" (16 + 2 + 4 + 32 + 1 + 32) delta.Store.cf_bytes;
+      Alcotest.(check bool) "far below the full snapshot" true
+        (delta.Store.cf_bytes * 4 < full.Store.cf_bytes)
+  | chain -> Alcotest.failf "expected a two-file chain, got %d" (List.length chain));
+  let store2 = expect_reopened (Store.create_or_open ~dir ~branching:4 ~shards:1 ~initial ()) in
+  Alcotest.(check string) "root unchanged" (hex_root db) (hex_root (Store.db store2));
+  Store.close store2;
+  rm_rf dir
+
 (* ---- torn MANIFEST --------------------------------------------------- *)
 
 let test_store_torn_manifest_repaired () =
@@ -1121,6 +1421,14 @@ let suite =
     Alcotest.test_case "store: incremental checkpoint" `Quick
       test_store_incremental_checkpoint;
     Alcotest.test_case "store: inspect reports layout" `Quick test_store_inspect_layout;
+    Alcotest.test_case "store: delta chain recovery" `Quick test_store_delta_chain_recovery;
+    Alcotest.test_case "store: delta damage is an error" `Quick
+      test_store_delta_damage_is_an_error;
+    Alcotest.test_case "store: delta stale recovery" `Quick test_store_delta_stale_recovery;
+    Alcotest.test_case "store: delta gc keeps chains" `Quick test_store_delta_gc_keeps_chains;
+    Alcotest.test_case "store: delta random crashes" `Quick test_store_delta_random_crashes;
+    Alcotest.test_case "store: delta of a read window" `Quick
+      test_store_delta_read_window_tiny;
     Alcotest.test_case "server: crash clears history" `Quick test_server_crash_clears_history;
     Alcotest.test_case "harness: crash is transparent" `Slow test_harness_crash_transparent;
     Alcotest.test_case "harness: torn MANIFEST transparent" `Slow
